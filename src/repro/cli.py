@@ -29,19 +29,17 @@ Subcommands
     cold replay, ``warm`` warm-starts a replay from it and reports the
     first-pass hit rate.  In-memory scan-cache hit/miss statistics are
     embedded directly in the output of the runs that use it (``trace``,
-    ``scenario --fleet``).  ``--shards N`` runs the tier replay through
-    the sharded scheduler instead, one scan cache per shard.
+    ``scenario --fleet``).
 ``fleet``
-    Sharded fleet-scale replay: partition a heterogeneous fleet into N
-    multi-process scheduler shards sharing one read-only topology
-    segment, replay a deterministic scenario, and print throughput, the
-    canonical log digest, and aggregate plus per-shard cache counters.
+    Fleet-scale replay: replay a deterministic scenario on a
+    heterogeneous fleet and print throughput, the canonical log digest
+    and the scan-cache counters.
 ``serve``
-    Run the allocation daemon: a MAPA scheduler (single or sharded)
-    behind a unix socket or TCP port speaking newline-delimited JSON,
-    with admission control, request batching and graceful drain into
-    the persistent scan tier.  ``--bench`` self-hosts a daemon and
-    reports sustained requests/sec.
+    Run the allocation daemon: a MAPA fleet scheduler behind a unix
+    socket or TCP port speaking newline-delimited JSON, with admission
+    control, request batching and graceful drain into the persistent
+    scan tier.  ``--bench`` self-hosts a daemon and reports sustained
+    requests/sec.
 ``client``
     One request against a running daemon: submit/release/query a job,
     fetch the live metrics snapshot, or drain the daemon.
@@ -123,16 +121,6 @@ def _scan_cache_line(stats) -> Optional[str]:
         f"{stats['scan_misses']:.0f} misses, "
         f"{stats['scan_evictions']:.0f} evictions)"
     )
-
-
-def _per_shard_cache_rows(stats) -> List[List[str]]:
-    """Per-shard scan-cache rows for a sharded replay's summary table."""
-    rows: List[List[str]] = []
-    for i, shard in enumerate((stats or {}).get("per_shard", ())):
-        line = _scan_cache_line(shard)
-        if line is not None:
-            rows.append([f"scan cache [shard {i}]", line])
-    return rows
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -342,42 +330,16 @@ def _scenario_fleet_replay(args: argparse.Namespace, spec) -> int:
         # Export exactly the (size-resolved) trace the replay consumes.
         job_file.save(args.output)
         print(f"trace written to {args.output}")
-    if args.shards:
-        from .cluster import (
-            SHARDABLE_NODE_POLICIES,
-            ShardedFleetScheduler,
-            ShardedFleetSimulator,
-        )
-
-        if args.scheduling != "fifo":
-            raise ValueError(
-                "--shards replays dispatch FIFO only; drop --scheduling"
-            )
-        if args.node_policy not in SHARDABLE_NODE_POLICIES:
-            raise ValueError(
-                f"node policy {args.node_policy!r} cannot be sharded; "
-                f"shardable: {', '.join(SHARDABLE_NODE_POLICIES)}"
-            )
-        with ShardedFleetScheduler(
-            fleet,
-            args.shards,
-            gpu_policy=args.policy,
-            node_policy=args.node_policy,
-        ) as scheduler:
-            fleet_sim = ShardedFleetSimulator(scheduler)
-            log = fleet_sim.run(job_file, dynamics=resolved.dynamics)
-            per_server = fleet_sim.jobs_per_server()
-    else:
-        sim = run_cluster(
-            fleet.build(),
-            job_file,
-            gpu_policy=args.policy,
-            node_policy=args.node_policy,
-            scheduling=args.scheduling,
-            dynamics=resolved.dynamics,
-        )
-        log = sim.log
-        per_server = sim.jobs_per_server()
+    sim = run_cluster(
+        fleet.build(),
+        job_file,
+        gpu_policy=args.policy,
+        node_policy=args.node_policy,
+        scheduling=args.scheduling,
+        dynamics=resolved.dynamics,
+    )
+    log = sim.log
+    per_server = sim.jobs_per_server()
     waits = [r.wait_time for r in log.records]
     sens = [r.measured_effective_bw for r in log.sensitive() if r.num_gpus > 1]
     rows = [
@@ -395,12 +357,9 @@ def _scenario_fleet_replay(args: argparse.Namespace, spec) -> int:
     ]
     if resolved.dynamics is not None and not resolved.dynamics.is_empty():
         rows.insert(1, ["dynamics", resolved.dynamics.describe()])
-    if args.shards:
-        rows.insert(1, ["shards", str(args.shards)])
     cache_line = _scan_cache_line(log.cache_stats)
     if cache_line is not None:
         rows.append(["scan cache", cache_line])
-    rows.extend(_per_shard_cache_rows(log.cache_stats))
     print(
         format_table(
             ["metric", "value"],
@@ -459,13 +418,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             spec,
             f"{args.num_jobs}-job {spec.name} scenario (seed {args.seed})",
         )
-    if args.shards and not args.fleet:
-        print(
-            "scenario: --shards requires --fleet (shards partition a "
-            "multi-server fleet)",
-            file=sys.stderr,
-        )
-        return 2
     if args.fleet:
         try:
             return _scenario_fleet_replay(args, spec)
@@ -514,12 +466,6 @@ def _cache_tier_replay(args: argparse.Namespace, store) -> int:
     rate (validating it).  Both replay the same deterministic scenario
     for a given (fleet, jobs, seed), so a ``spill`` followed by a
     ``warm`` demonstrates the cross-process reuse end to end.
-
-    With ``--shards N`` the replay runs through the sharded scheduler:
-    every shard owns a scan cache attached to the same on-disk tier
-    (content-addressed keys make concurrent population safe), ``warm``
-    warm-starts each shard from it, and ``spill`` writes every shard's
-    winners back.
     """
     import time as _time
 
@@ -543,33 +489,16 @@ def _cache_tier_replay(args: argparse.Namespace, store) -> int:
     spill = ScanSpillStore(store.root)
     written: Optional[int] = None
     started = _time.perf_counter()
-    if args.shards:
-        from .cluster import ShardedFleetScheduler, ShardedFleetSimulator
-
-        # Sharded tier replay: every shard owns a scan cache keyed by
-        # the same content-addressed wiring hashes, so they all load
-        # from — and spill into — the one on-disk tier.
-        with ShardedFleetScheduler(
-            fleet,
-            args.shards,
-            gpu_policy=args.policy,
-            scan_spill_root=store.root,
-        ) as scheduler:
-            log = ShardedFleetSimulator(scheduler).run(job_file)
-            if args.action == "spill":
-                written = scheduler.spill_scan_cache()
-    else:
-        cache = ScanCache()
-        sim = run_cluster(
-            fleet.build(),
-            job_file,
-            gpu_policy=args.policy,
-            scan_cache=cache,
-            scan_spill=spill if args.action == "warm" else None,
-        )
-        log = sim.log
-        if args.action == "spill":
-            written = spill.spill(cache)
+    cache = ScanCache()
+    log = run_cluster(
+        fleet.build(),
+        job_file,
+        gpu_policy=args.policy,
+        scan_cache=cache,
+        scan_spill=spill if args.action == "warm" else None,
+    ).log
+    if args.action == "spill":
+        written = spill.spill(cache)
     wall = _time.perf_counter() - started
     stats = log.cache_stats or {}
     rows = [
@@ -582,9 +511,6 @@ def _cache_tier_replay(args: argparse.Namespace, store) -> int:
             f"{100.0 * float(stats.get('scan_hit_rate', 0.0)):.1f}%",
         ],
     ]
-    if args.shards:
-        rows.insert(2, ["shards", str(args.shards)])
-        rows.extend(_per_shard_cache_rows(stats))
     if args.action == "spill":
         rows.append(["tier entries written", str(written)])
         title = "Scan tier — spilled from a cold replay"
@@ -660,7 +586,6 @@ def _serve_config(args: argparse.Namespace):
 
     return DaemonConfig(
         fleet=args.fleet,
-        shards=args.shards,
         gpu_policy=args.policy,
         node_policy=args.node_policy,
         queue_limit=args.queue_limit,
@@ -670,7 +595,6 @@ def _serve_config(args: argparse.Namespace):
         spill_root=args.spill_dir,
         metrics_json=args.metrics_json,
         drain_grace=args.drain_grace,
-        shard_mode=args.mode,
     )
 
 
@@ -704,7 +628,6 @@ def _serve_bench(args: argparse.Namespace) -> int:
     counters = stats["counters"]
     rows = [
         ["fleet", args.fleet],
-        ["backend", f"{args.shards} shards" if args.shards else "single"],
         ["jobs submitted", str(report.submitted)],
         ["requests (incl. releases)", str(report.requests)],
         ["allocated / noroom", f"{report.allocated} / {report.noroom}"],
@@ -825,19 +748,18 @@ def _cmd_client(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    """``mapa fleet``: sharded fleet-scale replay, digest and counters.
+    """``mapa fleet``: fleet-scale replay, digest and counters.
 
     Replays the fleet benchmark's deterministic MMPP scenario through
-    :class:`~repro.cluster.ShardedFleetScheduler`, so the printed digest
-    for the default fleet/jobs/seed is directly comparable with
-    ``benchmarks/BENCH_fleet_shard.json`` — and invariant in the shard
-    count, which is the whole point.
+    :func:`~repro.cluster.run_cluster`, so the printed digest for the
+    default fleet/jobs/seed is directly comparable with
+    ``benchmarks/BENCH_fleet_columnar.json``.
     """
     import hashlib
     import json
     import time as _time
 
-    from .cluster import ShardedFleetScheduler, ShardedFleetSimulator
+    from .cluster import run_cluster
     from .scenarios import FleetSpec, MMPPArrivals, ScenarioSpec, mixed_fleet
 
     try:
@@ -858,31 +780,25 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             name="fleet-scale",
         ).resolve(fleet.min_gpus_per_server())
         job_file = spec.build()
-        scheduler = ShardedFleetScheduler(
-            fleet,
-            args.shards,
-            gpu_policy=args.policy,
-            node_policy=args.node_policy,
-            engine=args.engine,
-            mode=args.mode,
-        )
+        servers = fleet.build()
     except ValueError as exc:
         print(f"fleet: {exc}", file=sys.stderr)
         return 2
-    with scheduler:
-        sim = ShardedFleetSimulator(scheduler)
-        started = _time.perf_counter()
-        log = sim.run(job_file)
-        wall = _time.perf_counter() - started
-        if args.check:
-            scheduler.check_mirror()
+    started = _time.perf_counter()
+    log = run_cluster(
+        servers,
+        job_file,
+        gpu_policy=args.policy,
+        node_policy=args.node_policy,
+        engine=args.engine,
+    ).log
+    wall = _time.perf_counter() - started
     digest = hashlib.sha256(
         json.dumps(log.to_dict(), sort_keys=True).encode("utf-8")
     ).hexdigest()
     stats = log.cache_stats or {}
     rows = [
         ["fleet", f"{fleet.num_servers} servers ({fleet.label()})"],
-        ["shards", f"{args.shards} ({args.mode})"],
         ["jobs replayed", str(len(log))],
         ["replay wall (s)", f"{wall:.2f}"],
         ["throughput (jobs/s)", f"{len(log) / wall:.0f}"],
@@ -892,16 +808,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     cache_line = _scan_cache_line(stats)
     if cache_line is not None:
         rows.append(["scan cache", cache_line])
-    rows.extend(_per_shard_cache_rows(stats))
-    if args.check:
-        rows.append(["mirror check", "consistent"])
-    print(
-        format_table(
-            ["metric", "value"],
-            rows,
-            title="Sharded fleet replay — shard-count-invariant digest",
-        )
-    )
+    print(format_table(["metric", "value"], rows, title="Fleet replay"))
     return 0
 
 
@@ -1190,17 +1097,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep output format",
     )
     p_scen.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help=(
-            "with --fleet: replay through this many scheduler shards "
-            "(0 = the classic single-scheduler path; FIFO only, "
-            "shardable node policies only; the log is byte-identical "
-            "either way)"
-        ),
-    )
-    p_scen.add_argument(
         "--dynamics",
         help=(
             "seeded fleet-chaos axis as key=value pairs, e.g. "
@@ -1278,17 +1174,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=POLICY_NAMES,
         help="with `warm`/`spill`: GPU-selection policy",
     )
-    p_cache.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help=(
-            "with `warm`/`spill`: replay through this many scheduler "
-            "shards, each with its own scan cache attached to the one "
-            "on-disk tier (0 = single scheduler); reports per-shard "
-            "hit rates"
-        ),
-    )
     p_cache.set_defaults(func=_cmd_cache)
 
     p_serve = sub.add_parser(
@@ -1301,8 +1186,7 @@ def build_parser() -> argparse.ArgumentParser:
             "quotas), batches submits arriving within one flush window "
             "into a single scheduler dispatch, and on drain spills the "
             "warm scan cache to the persistent tier so a restart starts "
-            "hot.  --shards N swaps the in-process scheduler for the "
-            "sharded fleet scheduler behind the same protocol.  --bench "
+            "hot.  --bench "
             "self-hosts a daemon, pumps a seeded scenario through it "
             "and reports sustained requests/sec."
         ),
@@ -1320,18 +1204,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fleet spec, topo[:count],… (see `mapa topos`)",
     )
     p_serve.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="scheduler shards (0 = single in-process scheduler)",
-    )
-    p_serve.add_argument(
-        "--mode",
-        default="process",
-        choices=("process", "inline"),
-        help="shard execution mode (inline = same-process, for tests)",
-    )
-    p_serve.add_argument(
         "--policy",
         default="preserve",
         choices=POLICY_NAMES,
@@ -1341,7 +1213,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--node-policy",
         default="first-fit",
         choices=("first-fit", "pack", "spread"),
-        help="server-selection policy (shardable subset)",
+        help="server-selection policy",
     )
     p_serve.add_argument(
         "--queue-limit",
@@ -1467,19 +1339,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fleet = sub.add_parser(
         "fleet",
-        help="sharded fleet-scale replay (multi-process scheduler shards)",
+        help="fleet-scale replay of a deterministic scenario",
         description=(
-            "Partition a heterogeneous fleet into N scheduler shards — "
-            "worker processes sharing one read-only shared-memory "
-            "topology segment — and replay a deterministic MMPP "
-            "scenario.  Prints replay throughput, the canonical "
-            "sha-256 log digest (invariant in the shard count, and for "
-            "the default fleet/jobs/seed comparable with "
-            "benchmarks/BENCH_fleet_shard.json), and aggregate plus "
-            "per-shard scan-cache counters."
+            "Replay a deterministic MMPP scenario on a heterogeneous "
+            "fleet.  Prints replay throughput, the canonical sha-256 "
+            "log digest (for the default fleet/jobs/seed comparable "
+            "with benchmarks/BENCH_fleet_columnar.json) and the "
+            "scan-cache counters."
         ),
     )
-    from .cluster import SHARDABLE_NODE_POLICIES
+    from .cluster import NODE_POLICIES
 
     p_fleet.add_argument(
         "--servers",
@@ -1500,9 +1369,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=2021, help="scenario RNG seed"
     )
     p_fleet.add_argument(
-        "--shards", type=int, default=4, help="scheduler shard count"
-    )
-    p_fleet.add_argument(
         "--policy",
         default="preserve",
         choices=POLICY_NAMES,
@@ -1511,26 +1377,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument(
         "--node-policy",
         default="first-fit",
-        choices=SHARDABLE_NODE_POLICIES,
-        help="server-selection policy (shardable subset)",
+        choices=NODE_POLICIES,
+        help="server-selection policy",
     )
     p_fleet.add_argument(
         "--engine",
         default="cached",
         choices=("cached", "batch", "scalar"),
-        help="scan engine inside each shard (all bit-identical)",
-    )
-    p_fleet.add_argument(
-        "--mode",
-        default="process",
-        choices=("process", "inline"),
-        help="shard transport: worker processes over shared memory, "
-        "or inline in-process shards (debugging)",
-    )
-    p_fleet.add_argument(
-        "--check",
-        action="store_true",
-        help="verify routing mirrors against shard state after the replay",
+        help="scan engine inside each server (all bit-identical)",
     )
     p_fleet.set_defaults(func=_cmd_fleet)
 

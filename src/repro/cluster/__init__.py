@@ -6,38 +6,18 @@ from .scheduler import (
     ClusterPlacement,
     MultiServerScheduler,
 )
-from .sharding import (
-    SHARDABLE_NODE_POLICIES,
-    ShardPlan,
-    SharedFleetManifest,
-    SharedLinkTableView,
-    ShardedFleetScheduler,
-    ShardedFleetSimulator,
-    aggregate_cache_stats,
-    run_sharded,
-)
 from .simulator import (
     ClusterJobRecord,
-    ClusterSimulator,  # deprecated alias of MultiServerSimulator
     MultiServerSimulator,
     run_cluster,
 )
 
 __all__ = [
     "NODE_POLICIES",
-    "SHARDABLE_NODE_POLICIES",
     "CandidateServerIndex",
     "ClusterPlacement",
     "MultiServerScheduler",
-    "ShardPlan",
-    "SharedFleetManifest",
-    "SharedLinkTableView",
-    "ShardedFleetScheduler",
-    "ShardedFleetSimulator",
-    "aggregate_cache_stats",
-    "run_sharded",
     "ClusterJobRecord",
-    "ClusterSimulator",
     "MultiServerSimulator",
     "run_cluster",
 ]

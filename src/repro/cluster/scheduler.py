@@ -299,20 +299,6 @@ class CandidateServerIndex:
         """The per-server free counts the index currently believes."""
         return tuple(self._free)
 
-    def bucket_summary(self) -> Tuple[int, Tuple[int, ...]]:
-        """``(max_free, histogram)`` — the index compressed to O(capacity).
-
-        ``histogram[f]`` is the number of servers with exactly ``f``
-        GPUs free (one entry per bucket, ``0 .. max capacity``).  This
-        is the routing summary sharded fleets exchange: it is enough to
-        answer every node policy's *shard*-level question — first-fit
-        feasibility is ``max_free >= k``, pack wants the smallest
-        non-empty bucket ``>= k``, spread the largest — without
-        shipping per-server state, and cheap enough to piggyback on
-        every placement/release reply.
-        """
-        return self._max_free, tuple(len(b) for b in self._buckets)
-
     def check(
         self,
         expected_free: Iterable[int],

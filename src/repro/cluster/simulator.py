@@ -13,7 +13,6 @@ can be analysed.
 
 from __future__ import annotations
 
-import warnings
 from typing import Deque, Dict, List, Sequence
 
 from ..scoring.effective import EffectiveBandwidthModel, PAPER_MODEL
@@ -111,33 +110,6 @@ class MultiServerSimulator:
     def log(self) -> SimulationLog:
         """The completed-job log."""
         return self.core.log
-
-
-class _DeprecatedAliasMeta(type):
-    """Keeps ``isinstance(sim, ClusterSimulator)`` working for every
-    :class:`MultiServerSimulator` (e.g. the ones ``run_cluster`` returns),
-    not just those constructed through the deprecated name."""
-
-    def __instancecheck__(cls, instance: object) -> bool:
-        """Any :class:`MultiServerSimulator` counts as the alias."""
-        return isinstance(instance, MultiServerSimulator)
-
-
-class ClusterSimulator(MultiServerSimulator, metaclass=_DeprecatedAliasMeta):
-    """Deprecated alias of :class:`MultiServerSimulator`.
-
-    The old name collided with the single-server
-    :class:`repro.sim.cluster.ClusterSimulator`; import the new name.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        warnings.warn(
-            "repro.cluster.ClusterSimulator is deprecated; use "
-            "repro.cluster.MultiServerSimulator instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)
 
 
 def run_cluster(

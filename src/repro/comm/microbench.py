@@ -65,20 +65,6 @@ def _ring_bandwidth(hardware: HardwareGraph, gpus: Tuple[int, ...]) -> float:
     return build_rings(hardware, gpus).total_bandwidth_gbps
 
 
-def release_graph_memo() -> None:
-    """Drop the ring-bandwidth memo and every graph reference it pins.
-
-    The memo's keys hold :class:`HardwareGraph` instances — and through
-    their cached link tables, whatever buffers those tables view.  A
-    shard worker whose tables are zero-copy views of a shared-memory
-    segment (:mod:`repro.cluster.sharding`) must release those exports
-    before the segment can be unmapped, so its teardown calls this
-    before closing the mapping.  Purely a lifecycle hook: the next
-    measurement simply repopulates the cache.
-    """
-    _ring_bandwidth.cache_clear()
-
-
 def peak_effective_bandwidth(
     hardware: HardwareGraph,
     gpus: Iterable[int],

@@ -27,8 +27,7 @@ Fallback ladder (every rung is lossless):
    the classic pickle path is the reference behaviour.
 
 Segment lifecycle: the **worker** creates its arena untracked (the
-same :mod:`multiprocessing.resource_tracker` discipline as
-:mod:`repro.cluster.sharding` — the tracker would otherwise unlink
+:mod:`multiprocessing.resource_tracker` would otherwise unlink
 segments the parent is still reading, bpo-38119); the **parent**
 unlinks each segment immediately after attaching, so the name
 disappears from ``/dev/shm`` while both mappings stay valid and the
@@ -40,8 +39,10 @@ between create and attach is the only leak window, and an interpreter
 from __future__ import annotations
 
 import atexit
+import contextlib
 import itertools
 import os
+import threading
 import weakref
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -99,31 +100,42 @@ class CellHandle:
 CellReturn = Union[CellHandle, CellResult]
 
 
+#: Serialises :func:`_patched_tracker`: the patch swaps a module
+#: global, so two threads inside it at once would each save the other's
+#: no-op as the "original" and could leave the tracker disabled.
+_TRACKER_LOCK = threading.Lock()
+
+
+def _reset_tracker_lock() -> None:
+    """A forked child starts with a fresh lock (its parent may hold it)."""
+    global _TRACKER_LOCK
+    _TRACKER_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_tracker_lock)
+
+
+@contextlib.contextmanager
 def _patched_tracker(attr: str = "register"):
     """Context manager no-op'ing one ``resource_tracker`` entry point.
 
     ``register`` for untracked create/attach; ``unregister`` for the
     parent's unlink of a segment it never registered (the tracker
     process logs a ``KeyError`` for unregister messages about unknown
-    names).
+    names).  Thread-safe: callers take turns under :data:`_TRACKER_LOCK`.
     """
-    import contextlib
-
-    @contextlib.contextmanager
-    def _cm():
-        try:
-            from multiprocessing import resource_tracker
-        except ImportError:  # pragma: no cover - always present on POSIX
-            yield
-            return
+    try:
+        from multiprocessing import resource_tracker
+    except ImportError:  # pragma: no cover - always present on POSIX
+        yield
+        return
+    with _TRACKER_LOCK:
         original = getattr(resource_tracker, attr)
         setattr(resource_tracker, attr, lambda *_a, **_k: None)
         try:
             yield
         finally:
             setattr(resource_tracker, attr, original)
-
-    return _cm()
 
 
 def _create_untracked(size: int) -> shared_memory.SharedMemory:

@@ -1,6 +1,6 @@
 """Allocation-as-a-service: the MAPA schedulers behind a socket.
 
-The batch layers (cluster replay, sharded fleet) construct a scheduler,
+The batch layers (single-server and fleet replay) construct a scheduler,
 run a trace, and exit.  This package keeps one alive: an asyncio
 daemon (:mod:`~repro.serve.daemon`) speaking newline-delimited JSON
 (:mod:`~repro.serve.protocol`), a blocking client

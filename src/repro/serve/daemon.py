@@ -14,10 +14,8 @@ Admission control
 
 Request batching
     Submits and releases that arrive within one flush window coalesce
-    into a single scheduler dispatch.  The sharded backend turns a
-    whole batch into **one** ``flush()`` round trip per shard — the
-    same batching discipline the replay simulator uses — so socket
-    arrival rate decouples from per-operation scheduler latency.
+    into a single scheduler dispatch, so socket arrival rate
+    decouples from per-operation scheduler latency.
     ``flush_window=0`` dispatches as soon as the loop drains the
     sockets, which still batches whatever arrived together.
 
@@ -29,11 +27,9 @@ Graceful shutdown
     metrics snapshot — so the *next* daemon on the same spill root
     starts hot (the warm-restart gate in ``benchmarks/bench_serve.py``).
 
-The scheduler stays swappable behind the request API: ``shards=0``
-hosts a :class:`~repro.cluster.scheduler.MultiServerScheduler`
-in-process, ``shards>0`` a
-:class:`~repro.cluster.sharding.ShardedFleetScheduler` — clients
-cannot tell the difference.
+The scheduler is one in-process
+:class:`~repro.cluster.scheduler.MultiServerScheduler`; every reply is
+built the moment its operation is applied to it.
 """
 
 from __future__ import annotations
@@ -47,7 +43,6 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Hashable, List, Optional, Tuple
 
 from ..cluster.scheduler import MultiServerScheduler
-from ..cluster.sharding import ShardedFleetScheduler
 from ..ioutils import atomic_write_bytes, atomic_write_text
 from ..scenarios.fleet import FleetSpec
 from ..scoring.memo import ScanCache
@@ -72,7 +67,6 @@ class DaemonConfig:
     """Everything ``mapa serve`` can tune about one daemon."""
 
     fleet: str = "dgx1-v100:4"
-    shards: int = 0
     gpu_policy: str = "preserve"
     node_policy: str = "first-fit"
     queue_limit: int = 256
@@ -82,13 +76,11 @@ class DaemonConfig:
     spill_root: Optional[str] = None
     metrics_json: Optional[str] = None
     drain_grace: float = 2.0
-    shard_mode: str = "process"
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready snapshot embedded in the metrics dump."""
         return {
             "fleet": self.fleet,
-            "shards": self.shards,
             "gpu_policy": self.gpu_policy,
             "node_policy": self.node_policy,
             "queue_limit": self.queue_limit,
@@ -156,175 +148,6 @@ class ServeMetrics:
 
 
 # ---------------------------------------------------------------------- #
-# scheduler backends
-# ---------------------------------------------------------------------- #
-class _Ticket:
-    """One placement's outcome, resolved immediately or at flush."""
-
-    __slots__ = ("server", "gpus", "scores")
-
-    def __init__(
-        self,
-        server: int,
-        gpus: Optional[Tuple[int, ...]] = None,
-        scores: Optional[Dict[str, float]] = None,
-    ) -> None:
-        self.server = server
-        self.gpus = gpus
-        self.scores = scores
-
-
-class _SingleBackend:
-    """In-process :class:`MultiServerScheduler` behind the daemon API."""
-
-    def __init__(self, config: DaemonConfig) -> None:
-        fleet = FleetSpec.parse(config.fleet)
-        self.spill_store = None
-        if config.spill_root is not None:
-            from ..experiments.spill import ScanSpillStore
-
-            self.spill_store = ScanSpillStore(root=config.spill_root)
-        self.cache = ScanCache()
-        self.scheduler = MultiServerScheduler(
-            fleet.build(),
-            gpu_policy=config.gpu_policy,
-            node_policy=config.node_policy,
-            scan_cache=self.cache,
-            scan_spill=self.spill_store,
-        )
-        self.warm_entries = len(self.cache.entries())
-
-    @property
-    def max_capacity(self) -> int:
-        return self.scheduler.max_active_capacity()
-
-    def place(self, spec: SubmitSpec) -> Optional[_Ticket]:
-        placement = self.scheduler.try_place(spec.request())
-        if placement is None:
-            return None
-        scores = {
-            str(k): float(v)
-            for k, v in placement.allocation.scores.items()
-            if isinstance(v, (int, float))
-        }
-        return _Ticket(placement.server_index, placement.gpus, scores)
-
-    def release(self, job_id: Hashable) -> Tuple[int, int]:
-        server, gpus = self.scheduler.release(job_id)
-        return server, len(gpus)
-
-    def flush(self) -> None:
-        pass
-
-    def cache_stats(self) -> Dict[str, float]:
-        stats = self.scheduler.scan_cache_stats()
-        out: Dict[str, float] = {}
-        if stats is not None:
-            counters = stats.as_dict()
-            rate = counters.pop("hit_rate")
-            for key, value in counters.items():
-                out[f"scan_{key}"] = value
-            out["scan_hit_rate"] = rate
-        return out
-
-    def spill_stats(self) -> Dict[str, int]:
-        if self.spill_store is None:
-            return {}
-        return self.spill_store.stats.as_dict()
-
-    def spill(self) -> int:
-        if self.spill_store is None:
-            return 0
-        return self.scheduler.spill_scan_cache()
-
-    def close(self) -> None:
-        pass
-
-
-class _ShardedBackend:
-    """:class:`ShardedFleetScheduler` behind the daemon API.
-
-    Placements buffer through ``dispatch_place`` and resolve at the
-    batch's single ``flush()`` (one round trip per shard); routing
-    feasibility is known immediately from the parent-side mirrors, so
-    admission and the wait queue behave identically to the single
-    backend.
-    """
-
-    def __init__(self, config: DaemonConfig) -> None:
-        self.scheduler = ShardedFleetScheduler(
-            FleetSpec.parse(config.fleet),
-            shards=config.shards,
-            gpu_policy=config.gpu_policy,
-            node_policy=config.node_policy,
-            mode=config.shard_mode,
-            scan_spill_root=config.spill_root,
-        )
-        self.spill_root = config.spill_root
-        self.warm_entries = 0
-        self._locations: Dict[Hashable, Tuple[int, int, int]] = {}
-        self._pending: List[_Ticket] = []
-        self._clock = 0.0
-
-    @property
-    def max_capacity(self) -> int:
-        return self.scheduler.max_capacity
-
-    def place(self, spec: SubmitSpec) -> Optional[_Ticket]:
-        routed = self.scheduler.route(spec.num_gpus)
-        if routed is None:
-            return None
-        shard, local = routed
-        # Monotonic pseudo-time: shard replies don't depend on it, the
-        # Job row just needs a valid submit time.
-        self._clock += 1.0
-        server = self.scheduler.dispatch_place(
-            spec.job(self._clock), shard, local, self._clock
-        )
-        self._locations[spec.job_id] = (shard, local, spec.num_gpus)
-        ticket = _Ticket(server)
-        self._pending.append(ticket)
-        return ticket
-
-    def release(self, job_id: Hashable) -> Tuple[int, int]:
-        shard, local, num_gpus = self._locations.pop(job_id)
-        self.scheduler.dispatch_release(job_id, shard, local, num_gpus)
-        return self.scheduler.plan.start(shard) + local, num_gpus
-
-    def flush(self) -> None:
-        replies = self.scheduler.flush()
-        places = iter(self._pending)
-        for (_, _, _, _, _, reply) in replies:
-            ticket = next(places)
-            ticket.gpus = tuple(int(g) for g in reply[1])
-            ticket.scores = {
-                "agg_bw": float(reply[2]),
-                "effective_bw": float(reply[3]),
-            }
-        self._pending = []
-
-    def cache_stats(self) -> Dict[str, float]:
-        return self.scheduler.cache_stats()
-
-    def spill_stats(self) -> Dict[str, int]:
-        return {}
-
-    def spill(self) -> int:
-        if self.spill_root is None:
-            return 0
-        return self.scheduler.spill_scan_cache()
-
-    def close(self) -> None:
-        self.scheduler.close()
-
-
-def _build_backend(config: DaemonConfig):
-    if config.shards > 0:
-        return _ShardedBackend(config)
-    return _SingleBackend(config)
-
-
-# ---------------------------------------------------------------------- #
 # the daemon
 # ---------------------------------------------------------------------- #
 class _Op:
@@ -342,19 +165,27 @@ class _Op:
 class _Lease:
     """One placed job in the daemon's ledger."""
 
-    __slots__ = ("tenant", "num_gpus", "ticket", "placed_at")
+    __slots__ = ("tenant", "num_gpus", "server", "gpus", "placed_at")
 
     def __init__(
         self,
         tenant: str,
         num_gpus: int,
-        ticket: _Ticket,
+        server: int,
+        gpus: Tuple[int, ...],
         placed_at: float = 0.0,
     ) -> None:
         self.tenant = tenant
         self.num_gpus = num_gpus
-        self.ticket = ticket
+        self.server = server
+        self.gpus = gpus
         self.placed_at = placed_at
+
+
+def _resolve(future, response: Dict[str, Any]) -> None:
+    """Answer one pipelined op (unless drain already answered it)."""
+    if not future.done():
+        future.set_result(response)
 
 
 class AllocationDaemon:
@@ -362,9 +193,21 @@ class AllocationDaemon:
 
     def __init__(self, config: Optional[DaemonConfig] = None) -> None:
         self.config = config or DaemonConfig()
-        self.backend = _build_backend(self.config)
+        self.spill_store = None
+        if self.config.spill_root is not None:
+            from ..experiments.spill import ScanSpillStore
+
+            self.spill_store = ScanSpillStore(root=self.config.spill_root)
+        cache = ScanCache()
+        self.scheduler = MultiServerScheduler(
+            FleetSpec.parse(self.config.fleet).build(),
+            gpu_policy=self.config.gpu_policy,
+            node_policy=self.config.node_policy,
+            scan_cache=cache,
+            scan_spill=self.spill_store,
+        )
         self.metrics = ServeMetrics()
-        self.metrics.warm_entries = self.backend.warm_entries
+        self.metrics.warm_entries = len(cache.entries())
         self._pending: List[_Op] = []
         self._waiting: Deque[_Op] = deque()
         self._ledger: Dict[Hashable, _Lease] = {}
@@ -447,7 +290,6 @@ class AllocationDaemon:
             self._dispatcher = None
         for task in list(self._conn_tasks):
             task.cancel()
-        self.backend.close()
 
     # ------------------------------------------------------------------ #
     # connection handling
@@ -565,13 +407,14 @@ class AllocationDaemon:
                 "reason": protocol.REJECT_DUPLICATE,
                 "job": spec.job_id,
             }
-        if spec.num_gpus > self.backend.max_capacity:
+        max_gpus = self.scheduler.max_active_capacity()
+        if spec.num_gpus > max_gpus:
             self.metrics.reject(protocol.REJECT_INFEASIBLE)
             return {
                 "status": "rejected",
                 "reason": protocol.REJECT_INFEASIBLE,
                 "job": spec.job_id,
-                "max_gpus": self.backend.max_capacity,
+                "max_gpus": max_gpus,
             }
         usage = self._usage(spec.tenant)
         quota_jobs = self.config.quota_requests
@@ -631,20 +474,18 @@ class AllocationDaemon:
                 continue
             if self.config.flush_window > 0:
                 # Coalesce: let the window's submits pile up, then
-                # dispatch them as one batch (one flush per shard).
+                # dispatch them as one batch.
                 await asyncio.sleep(self.config.flush_window)
             batch, self._pending = self._pending, []
             self._run_batch(batch)
 
     def _run_batch(self, batch: List[_Op]) -> None:
         """One scheduler dispatch for every op the window collected."""
-        replies: List[Tuple[Any, Any]] = []  # (future, builder)
         for op in batch:
             if op.kind == "submit":
-                self._batch_submit(op, replies)
+                self._batch_submit(op)
             else:
-                self._batch_release(op, replies)
-        self.backend.flush()
+                self._batch_release(op)
         self.metrics.dispatches += 1
         if len(batch) > 1:
             self.metrics.batched_dispatches += 1
@@ -652,45 +493,41 @@ class AllocationDaemon:
         self.metrics.peak_waiting = max(
             self.metrics.peak_waiting, len(self._waiting)
         )
-        for future, builder in replies:
-            if not future.done():
-                future.set_result(builder())
 
-    def _allocated_builder(self, op: _Op, ticket: _Ticket):
-        def build() -> Dict[str, Any]:
-            return {
-                "status": "allocated",
-                "job": op.job_id,
-                "server": ticket.server,
-                "gpus": list(ticket.gpus) if ticket.gpus is not None else None,
-                "scores": ticket.scores,
-            }
-
-        return build
-
-    def _place(self, op: _Op, replies) -> bool:
-        """Try one submit against the backend; ``False`` means no room."""
-        ticket = self.backend.place(op.spec)
-        if ticket is None:
+    def _place(self, op: _Op) -> bool:
+        """Try one submit against the scheduler; ``False`` means no room."""
+        placement = self.scheduler.try_place(op.spec.request())
+        if placement is None:
             return False
         self._ledger[op.job_id] = _Lease(
             op.spec.tenant,
             op.spec.num_gpus,
-            ticket,
+            placement.server_index,
+            placement.gpus,
             placed_at=time.monotonic() - self._epoch,
         )
         self.metrics.allocated += 1
-        replies.append((op.future, self._allocated_builder(op, ticket)))
+        _resolve(op.future, {
+            "status": "allocated",
+            "job": op.job_id,
+            "server": placement.server_index,
+            "gpus": list(placement.gpus),
+            "scores": {
+                str(k): float(v)
+                for k, v in placement.allocation.scores.items()
+                if isinstance(v, (int, float))
+            },
+        })
         return True
 
-    def _batch_submit(self, op: _Op, replies) -> None:
+    def _batch_submit(self, op: _Op) -> None:
         # FIFO fairness: while older submits wait, newcomers that are
         # willing to wait queue behind them instead of jumping ahead.
         if self._waiting and op.spec.wait:
             self._waiting.append(op)
             self.metrics.queued += 1
             return
-        if self._place(op, replies):
+        if self._place(op):
             return
         if op.spec.wait:
             self._waiting.append(op)
@@ -698,10 +535,7 @@ class AllocationDaemon:
         else:
             self._forget(op.job_id, op.spec.tenant, op.spec.num_gpus)
             self.metrics.noroom += 1
-            replies.append((
-                op.future,
-                lambda job=op.job_id: {"status": "noroom", "job": job},
-            ))
+            _resolve(op.future, {"status": "noroom", "job": op.job_id})
 
     def _record_release(self, lease: _Lease) -> None:
         """Append one completed lease to the columnar service log.
@@ -713,10 +547,6 @@ class AllocationDaemon:
         ``.mlog`` codec the sweep transport uses.
         """
         now = time.monotonic() - self._epoch
-        ticket = lease.ticket
-        allocation = (
-            tuple(ticket.gpus) if ticket.gpus is not None else ()
-        )
         self._service_log.append_fields(
             self._release_seq,
             lease.tenant,
@@ -726,28 +556,26 @@ class AllocationDaemon:
             lease.placed_at,
             lease.placed_at,
             now,
-            allocation,
+            lease.gpus,
             0.0,
             0.0,
             0.0,
         )
         self._release_seq += 1
 
-    def _batch_release(self, op: _Op, replies) -> None:
+    def _batch_release(self, op: _Op) -> None:
         job_id = op.job_id
         lease = self._ledger.pop(job_id, None)
         if lease is not None:
-            server, num_gpus = self.backend.release(job_id)
+            server, gpus = self.scheduler.release(job_id)
             self._forget(job_id, lease.tenant, lease.num_gpus)
             self._record_release(lease)
             self.metrics.released += 1
-            replies.append((
-                op.future,
-                lambda j=job_id, s=server, n=num_gpus: {
-                    "status": "released", "job": j, "server": s, "gpus": n,
-                },
-            ))
-            self._drain_waiting(replies)
+            _resolve(op.future, {
+                "status": "released", "job": job_id, "server": server,
+                "gpus": len(gpus),
+            })
+            self._drain_waiting()
             return
         waiter = next(
             (w for w in self._waiting if w.job_id == job_id), None
@@ -757,34 +585,25 @@ class AllocationDaemon:
             self._waiting.remove(waiter)
             self._forget(job_id, waiter.spec.tenant, waiter.spec.num_gpus)
             self.metrics.canceled += 1
-            replies.append((
-                waiter.future,
-                lambda j=job_id: {
-                    "status": "rejected",
-                    "reason": protocol.REJECT_CANCELED,
-                    "job": j,
-                },
-            ))
-            replies.append((
-                op.future,
-                lambda j=job_id: {
-                    "status": "released", "job": j, "canceled": True,
-                },
-            ))
+            _resolve(waiter.future, {
+                "status": "rejected",
+                "reason": protocol.REJECT_CANCELED,
+                "job": job_id,
+            })
+            _resolve(op.future, {
+                "status": "released", "job": job_id, "canceled": True,
+            })
             return
         self.metrics.errors += 1
-        replies.append((
-            op.future,
-            lambda j=job_id: {
-                "status": "error", "reason": "unknown-job", "job": j,
-            },
-        ))
+        _resolve(op.future, {
+            "status": "error", "reason": "unknown-job", "job": job_id,
+        })
 
-    def _drain_waiting(self, replies) -> None:
+    def _drain_waiting(self) -> None:
         """After a release, serve the wait queue head-of-line."""
         while self._waiting:
             head = self._waiting[0]
-            if not self._place(head, replies):
+            if not self._place(head):
                 break
             self._waiting.popleft()
 
@@ -799,12 +618,11 @@ class AllocationDaemon:
             return {"status": "error", "reason": str(exc)}
         lease = self._ledger.get(job_id)
         if lease is not None:
-            ticket = lease.ticket
             return {
                 "status": "active",
                 "job": job_id,
-                "server": ticket.server,
-                "gpus": list(ticket.gpus) if ticket.gpus is not None else None,
+                "server": lease.server,
+                "gpus": list(lease.gpus),
                 "tenant": lease.tenant,
             }
         if any(w.job_id == job_id for w in self._waiting) or any(
@@ -812,6 +630,17 @@ class AllocationDaemon:
         ):
             return {"status": "waiting", "job": job_id}
         return {"status": "unknown", "job": job_id}
+
+    def _cache_stats(self) -> Dict[str, float]:
+        stats = self.scheduler.scan_cache_stats()
+        out: Dict[str, float] = {}
+        if stats is not None:
+            counters = stats.as_dict()
+            rate = counters.pop("hit_rate")
+            for key, value in counters.items():
+                out[f"scan_{key}"] = value
+            out["scan_hit_rate"] = rate
+        return out
 
     def metrics_snapshot(self) -> Dict[str, Any]:
         """Counters + gauges + cache/spill stats as one JSON object."""
@@ -831,8 +660,11 @@ class AllocationDaemon:
                     if u[0] or u[1]
                 },
             },
-            "cache": self.backend.cache_stats(),
-            "spill": self.backend.spill_stats(),
+            "cache": self._cache_stats(),
+            "spill": (
+                {} if self.spill_store is None
+                else self.spill_store.stats.as_dict()
+            ),
             "config": self.config.as_dict(),
         }
         if self.config.spill_root is not None:
@@ -898,13 +730,15 @@ class AllocationDaemon:
         forced = 0
         for job_id in list(self._ledger):
             lease = self._ledger.pop(job_id)
-            self.backend.release(job_id)
+            self.scheduler.release(job_id)
             self._forget(job_id, lease.tenant, lease.num_gpus)
             self._record_release(lease)
             forced += 1
-        self.backend.flush()
         self.metrics.forced_releases = forced
-        spilled = self.backend.spill()
+        spilled = (
+            0 if self.spill_store is None
+            else self.scheduler.spill_scan_cache()
+        )
         self.metrics.spilled_entries = spilled
         snapshot = self.metrics_snapshot()
         if self.config.metrics_json:

@@ -46,7 +46,6 @@ from ..appgraph import patterns
 from ..appgraph.application import ApplicationGraph
 from ..policies.base import AllocationRequest
 from ..workloads.catalog import get_workload
-from ..workloads.jobs import Job
 
 #: Bumped on incompatible wire changes; echoed by ``ping``.
 PROTOCOL_VERSION = 1
@@ -129,8 +128,7 @@ class SubmitSpec:
         """Validate a submit payload; raises :class:`ProtocolError`.
 
         Validation is strict at the door — the daemon's dispatch path
-        (and the sharded backend's worker processes) must never see a
-        pattern or workload name that cannot resolve.
+        must never see a pattern or workload name that cannot resolve.
         """
         job_id = _require_job_id(payload)
         gpus = payload.get("gpus", 1)
@@ -175,20 +173,9 @@ class SubmitSpec:
         return patterns.by_name(self.pattern, self.num_gpus)
 
     def request(self) -> AllocationRequest:
-        """The scheduler-facing request (single-backend dispatch)."""
+        """The scheduler-facing request."""
         return AllocationRequest(
             pattern=self.pattern_graph(),
             bandwidth_sensitive=self.sensitive,
             job_id=self.job_id,
-        )
-
-    def job(self, submit_time: float = 0.0) -> Job:
-        """A :class:`Job` row (sharded-backend dispatch)."""
-        return Job(
-            job_id=self.job_id,
-            workload=self.workload,
-            num_gpus=self.num_gpus,
-            pattern=self.pattern,
-            bandwidth_sensitive=self.sensitive,
-            submit_time=submit_time,
         )

@@ -342,8 +342,7 @@ class SimulationCore:
             self._casualty = dynamics.casualty
             self._victim_policy = dynamics.victim
             # Deadlock guard bound: fleet mutations must never strand
-            # the largest request in the trace (identical computation
-            # in the sharded parent, so skips replay identically).
+            # the largest request in the trace.
             self._max_request = max((j.num_gpus for j in jobs), default=0)
             topologies = [
                 self.backend.hardware_for(i).name
@@ -453,7 +452,7 @@ class SimulationCore:
         running (killed / finished under a later incarnation whose
         completion already fired) or is running a *different*
         incarnation — both recognised here and dropped without touching
-        any state, identically on every core and shard count.
+        any state, identically on every core.
         """
         job_id, count = payload
         if job_id not in self._running or self._starts.get(job_id) != count:

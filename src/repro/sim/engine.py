@@ -55,8 +55,7 @@ class _Entry:
 #: a static-fleet replay's pop stream — and every golden table — is
 #: unchanged; fleet mutations (failure, repair, autoscale, preemption)
 #: schedule at :data:`FLEET_PRIORITY` so a failure at an arrival instant
-#: lands *before* the arrival deterministically, on every core and at
-#: every shard count.
+#: lands *before* the arrival deterministically, on every core.
 DEFAULT_PRIORITY = 1
 
 #: Priority for fleet-mutation events (see :data:`DEFAULT_PRIORITY`).

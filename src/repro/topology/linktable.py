@@ -109,64 +109,6 @@ class LinkTable:
         self._bandwidths_np: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
-    # shared-memory rehydration
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_arrays(
-        cls,
-        gpus,
-        codes,
-        bandwidths,
-        channels,
-        per_channel,
-        nvlink,
-    ) -> "LinkTable":
-        """Rebuild a table from dense per-pair arrays without a graph.
-
-        This is the attach side of the sharded fleet's shared-memory
-        protocol (:mod:`repro.cluster.sharding`): the parent publishes
-        one copy of each distinct wiring's arrays, and every shard
-        worker rehydrates its :class:`LinkTable`\\ s from the mapped
-        segment instead of re-deriving ``n²`` link classifications (or
-        unpickling per-task copies).
-
-        The scalar tuples are rebuilt locally via ``tolist`` — numpy
-        round-trips int64/float64 exactly, so the tuples are
-        bit-identical to the constructor's.  The two dense hot-path
-        arrays (:attr:`codes_flat` / :attr:`bandwidths_flat`) are
-        installed as read-only *views of the caller's arrays*, so when
-        those are shared-memory backed the n² payload is mapped, not
-        copied; the views keep the backing buffer alive.
-        """
-        table = object.__new__(cls)
-        table.gpus = tuple(int(g) for g in gpus)
-        table.n = n = len(table.gpus)
-        table.index = {g: i for i, g in enumerate(table.gpus)}
-        codes_arr = np.asarray(codes, dtype=np.int64)
-        bws_arr = np.asarray(bandwidths, dtype=np.float64)
-        if codes_arr.shape != (n * n,) or bws_arr.shape != (n * n,):
-            raise ValueError(
-                f"expected flat arrays of length {n * n}, got "
-                f"{codes_arr.shape} / {bws_arr.shape}"
-            )
-        table.codes = tuple(codes_arr.tolist())
-        table.bandwidths = tuple(bws_arr.tolist())
-        table.channels = tuple(np.asarray(channels, dtype=np.int64).tolist())
-        table.per_channel = tuple(
-            np.asarray(per_channel, dtype=np.float64).tolist()
-        )
-        table.nvlink = tuple(
-            bool(b) for b in np.asarray(nvlink, dtype=np.uint8).tolist()
-        )
-        codes_view = codes_arr.view()
-        codes_view.flags.writeable = False
-        bws_view = bws_arr.view()
-        bws_view.flags.writeable = False
-        table._codes_np = codes_view
-        table._bandwidths_np = bws_view
-        return table
-
-    # ------------------------------------------------------------------ #
     # dense numpy views (the batch-scoring engine's inputs)
     # ------------------------------------------------------------------ #
     @property

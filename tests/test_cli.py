@@ -306,103 +306,40 @@ class TestCacheCommand:
         assert "lookups" in out
 
 
-class TestShardedCLI:
-    """The `--shards` surfaces: `fleet`, `scenario --fleet`, cache tier."""
+class TestFleetCLI:
+    """`mapa fleet`: the in-process fleet-scale replay."""
 
-    def test_fleet_digest_is_shard_count_invariant(self, capsys):
-        def digest(shards):
-            assert main(
-                ["fleet", "--servers", "4", "--jobs", "60",
-                 "--shards", str(shards), "--mode", "inline", "--check"]
-            ) == 0
-            out = capsys.readouterr().out
-            assert "mirror check" in out and "consistent" in out
-            (line,) = [l for l in out.splitlines() if "log digest" in l]
-            return line.rsplit("|", 1)[1].strip()
+    def test_fleet_digest_matches_run_cluster(self, capsys):
+        import hashlib
+        import json
 
-        one, two = digest(1), digest(2)
-        assert len(one) == 64
-        assert one == two
+        from repro.cluster import run_cluster
+        from repro.scenarios import MMPPArrivals, ScenarioSpec, mixed_fleet
 
-    def test_fleet_reports_per_shard_caches(self, capsys):
-        assert main(
-            ["fleet", "--servers", "4", "--jobs", "40", "--shards", "2",
-             "--mode", "inline"]
-        ) == 0
+        assert main(["fleet", "--servers", "4", "--jobs", "60"]) == 0
         out = capsys.readouterr().out
-        assert "shards" in out and "2 (inline)" in out
-        assert "scan cache [shard 0]" in out
-        assert "scan cache [shard 1]" in out
+        (line,) = [l for l in out.splitlines() if "log digest" in l]
+        printed = line.rsplit("|", 1)[1].strip()
+
+        fleet = mixed_fleet(4)
+        job_file = ScenarioSpec(
+            num_jobs=60,
+            seed=2021,
+            arrival=MMPPArrivals(
+                quiet_rate=1.0,
+                burst_rate=20.0,
+                quiet_dwell=300.0,
+                burst_dwell=60.0,
+            ),
+            name="fleet-scale",
+        ).resolve(fleet.min_gpus_per_server()).build()
+        log = run_cluster(fleet.build(), job_file).log
+        expected = hashlib.sha256(
+            json.dumps(log.to_dict(), sort_keys=True).encode("utf-8")
+        ).hexdigest()
+        assert printed == expected
 
     def test_fleet_bad_spec_is_a_usage_error(self, capsys):
         assert main(["fleet", "--fleet", "x:"]) == 2
         assert "fleet:" in capsys.readouterr().err
 
-    def test_fleet_more_shards_than_servers_is_a_usage_error(self, capsys):
-        assert main(["fleet", "--servers", "2", "--shards", "4"]) == 2
-        assert "fleet:" in capsys.readouterr().err
-
-    def test_fleet_node_policy_choices_track_shardable_set(self):
-        from repro.cluster import SHARDABLE_NODE_POLICIES
-
-        parser = build_parser()
-        sub = next(
-            a for a in parser._actions
-            if a.__class__.__name__ == "_SubParsersAction"
-        ).choices["fleet"]
-        by_dest = {a.dest: a for a in sub._actions}
-        assert tuple(by_dest["node_policy"].choices) == tuple(
-            SHARDABLE_NODE_POLICIES
-        )
-
-    def test_scenario_sharded_replay_matches_unsharded(self, capsys):
-        base = ["scenario", "--num-jobs", "40",
-                "--fleet", "dgx1-v100:2,summit:2"]
-
-        def makespan(args):
-            assert main(args) == 0
-            out = capsys.readouterr().out
-            (line,) = [l for l in out.splitlines() if "makespan" in l]
-            return line.rsplit("|", 1)[1].strip()
-
-        classic = makespan(base)
-        sharded = makespan([*base, "--shards", "2"])
-        assert classic == sharded
-
-    def test_scenario_shards_require_fleet(self, capsys):
-        assert main(["scenario", "--num-jobs", "10", "--shards", "2"]) == 2
-        assert "--shards requires --fleet" in capsys.readouterr().err
-
-    def test_scenario_shards_are_fifo_only(self, capsys):
-        rc = main(
-            ["scenario", "--num-jobs", "10", "--fleet", "dgx1-v100:2",
-             "--shards", "2", "--scheduling", "sjf"]
-        )
-        assert rc == 2
-        assert "dispatch FIFO only" in capsys.readouterr().err
-
-    def test_scenario_shards_reject_unshardable_node_policy(self, capsys):
-        rc = main(
-            ["scenario", "--num-jobs", "10", "--fleet", "dgx1-v100:2",
-             "--shards", "2", "--node-policy", "best-score"]
-        )
-        assert rc == 2
-        assert "cannot be sharded" in capsys.readouterr().err
-
-    def test_cache_sharded_spill_then_warm_round_trip(self, tmp_path, capsys):
-        args = ["--cache-dir", str(tmp_path), "--fleet", "dgx1-v100:2",
-                "--jobs", "120", "--shards", "2"]
-        assert main(["cache", "spill", *args]) == 0
-        out = capsys.readouterr().out
-        assert "tier entries written" in out
-        assert "scan cache [shard 0]" in out
-        assert main(["cache", "warm", *args]) == 0
-        rows = {}
-        for line in capsys.readouterr().out.splitlines():
-            if "|" in line:
-                label, _, value = line.partition("|")
-                rows[label.strip()] = value.strip()
-        assert rows["scan hit rate"] == "100.0%"
-        assert rows["shards"] == "2"
-        assert rows["scan cache [shard 0]"].startswith("100.0% hits")
-        assert rows["scan cache [shard 1]"].startswith("100.0% hits")

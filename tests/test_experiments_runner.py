@@ -1,5 +1,7 @@
 """Integration tests for the parallel, cache-backed sweep runner."""
 
+import time
+
 import pytest
 
 from repro.experiments import (
@@ -9,6 +11,7 @@ from repro.experiments import (
     TraceSpec,
     run_experiment,
 )
+from repro.experiments.runner import _worker_cache_probe
 from repro.scoring.regression import fit_for_hardware
 from repro.sim.cluster import run_all_policies
 
@@ -111,3 +114,50 @@ class TestCellList:
         assert outcome.spec is None
         assert outcome.num_cells == 2
         assert all(c in outcome.results for c in cells)
+
+
+def _paced_cache_probe(token: int):
+    """A briefly-sleeping cache probe, so every pool worker answers one.
+
+    An instant probe lets one fast worker drain the whole map and the
+    other worker go unsampled; the pause keeps it busy long enough for
+    its sibling to pick up the next probe from the call queue.
+    """
+    time.sleep(0.05)
+    return _worker_cache_probe(token)
+
+
+class TestSweepRunnerPoolReuse:
+    def test_workers_and_caches_survive_consecutive_runs(self):
+        spec = ExperimentSpec(
+            name="pool-reuse",
+            policies=("baseline", "preserve"),
+            disciplines=("fifo",),
+            trace=TraceSpec(num_jobs=8),
+        )
+        with SweepRunner(jobs=2) as runner:
+            runner.run(spec)
+            pool = runner._pool
+            assert pool is not None
+            probes1 = {p[0]: p for p in pool.map(_paced_cache_probe, range(4))}
+            runner.run(spec)
+            assert runner._pool is pool  # same executor, no churn
+            probes2 = {p[0]: p for p in pool.map(_paced_cache_probe, range(4))}
+        assert len(probes1) == 2  # both workers answered the probe
+        assert set(probes2) == set(probes1)  # same worker processes
+        lookups1 = sum(lookups for _, _, lookups in probes1.values())
+        lookups2 = sum(lookups for _, _, lookups in probes2.values())
+        # the second run re-simulated through the surviving warm caches
+        # (a churned pool would restart both counters at zero)
+        assert lookups2 > lookups1 > 0
+
+    def test_pool_rebuilt_when_jobs_change(self):
+        runner = SweepRunner(jobs=2)
+        first = runner._ensure_pool()
+        assert runner._ensure_pool() is first
+        runner.jobs = 3
+        second = runner._ensure_pool()
+        assert second is not first
+        runner.close()
+        runner.close()  # idempotent
+        assert runner._pool is None

@@ -1,22 +1,29 @@
 """Unit tests for the zero-copy sweep transport.
 
 The fallback ladder (shm → stored → inline → plain pickle), arena
-rollover across runs, the parent's unlink-on-attach lifecycle, and the
+rollover across runs, the parent's unlink-on-attach lifecycle, the
+thread-safety of the untracked create/attach helpers, and the
 end-to-end guarantee that a parallel sweep over the transport is
 byte-identical to the serial reference.
 """
 
 import os
+import threading
+import types
+from multiprocessing import resource_tracker
 
 import pytest
 
 from repro.experiments import ResultStore, TraceSpec, simulate_cell
+from repro.experiments import transport
 from repro.experiments.runner import SweepRunner, simulate_cell_packed
 from repro.experiments.spec import CellConfig, ExperimentSpec
 from repro.experiments.transport import (
     ArenaReader,
     CellHandle,
     TransportConfig,
+    _attach_untracked,
+    _create_untracked,
     _release_worker_arena,
     new_run_id,
     pack_result,
@@ -49,6 +56,82 @@ def _segments():
         return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
     except FileNotFoundError:  # pragma: no cover - non-Linux
         return set()
+
+
+class _ObservedLock:
+    """A lock that flags the moment a second thread has to wait for it."""
+
+    def __init__(self, contended: threading.Event) -> None:
+        self._lock = threading.Lock()
+        self._contended = contended
+
+    def __enter__(self):
+        if not self._lock.acquire(blocking=False):
+            self._contended.set()
+            self._lock.acquire()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._lock.release()
+
+
+class TestTrackerPatch:
+    def test_overlapping_create_and_attach_restore_the_tracker(
+        self, monkeypatch
+    ):
+        """Thread A creates, thread B attaches while A's constructor is
+        still running.  Unserialised, B saves A's no-op as "original"
+        and restores it last, leaving the tracker disabled for good."""
+        register = resource_tracker.register
+        unregister = resource_tracker.unregister
+        a_inside = threading.Event()
+        b_arrived = threading.Event()  # B inside the patch, or waiting
+        a_done = threading.Event()
+
+        def fake_shared_memory(name=None, create=False, size=0):
+            if create:
+                a_inside.set()
+                assert b_arrived.wait(timeout=30)
+            else:
+                b_arrived.set()
+                assert a_done.wait(timeout=30)
+            return name or "segment"
+
+        monkeypatch.setattr(
+            transport,
+            "shared_memory",
+            types.SimpleNamespace(SharedMemory=fake_shared_memory),
+        )
+        monkeypatch.setattr(
+            transport, "_TRACKER_LOCK", _ObservedLock(b_arrived),
+            raising=False,
+        )
+        errors = []
+
+        def run(fn, *args):
+            try:
+                fn(*args)
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        def creator():
+            run(_create_untracked, 64)
+            a_done.set()
+
+        a = threading.Thread(target=creator)
+        b = threading.Thread(target=run, args=(_attach_untracked, "seg-b"))
+        a.start()
+        assert a_inside.wait(timeout=30)
+        b.start()
+        a.join(timeout=60)
+        b.join(timeout=60)
+        try:
+            assert not errors, errors
+            assert resource_tracker.register is register
+            assert resource_tracker.unregister is unregister
+        finally:
+            resource_tracker.register = register
+            resource_tracker.unregister = unregister
 
 
 class TestFallbackLadder:

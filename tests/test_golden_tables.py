@@ -42,7 +42,6 @@ TIMING_TABLES = {
     "batch_scoring.txt",
     "fig19_overhead.txt",
     "fleet_scale.txt",
-    "fleet_shard.txt",
     "scan_cache.txt",
     "scan_hotpath.txt",
     "serve.txt",

@@ -24,6 +24,12 @@ from repro.serve import (
 )
 
 
+#: Drain grace for daemons whose tests are not about drain: teardown
+#: force-releases leftover leases at once instead of waiting out the
+#: default 2 s grace.
+QUICK_GRACE = 0.05
+
+
 @pytest.fixture
 def serve(tmp_path):
     """Factory: boot a daemon on a unix socket, drain it on teardown."""
@@ -45,6 +51,17 @@ def serve(tmp_path):
                 handle.stop(timeout=30)
             except Exception:
                 pass
+
+
+@pytest.fixture
+def quick_serve(serve):
+    """:func:`serve` with a short drain grace (tests not about drain)."""
+
+    def boot(index=0, **config_kwargs):
+        config_kwargs.setdefault("drain_grace", QUICK_GRACE)
+        return serve(index, **config_kwargs)
+
+    return boot
 
 
 class TestProtocol:
@@ -90,8 +107,8 @@ class TestProtocol:
 
 
 class TestBasicOps:
-    def test_allocate_query_release(self, serve):
-        socket_path, _ = serve()
+    def test_allocate_query_release(self, quick_serve):
+        socket_path, _ = quick_serve()
         with AllocationClient(socket_path=socket_path) as client:
             response = client.submit("job-1", 4)
             assert response["status"] == "allocated"
@@ -108,8 +125,8 @@ class TestBasicOps:
             assert released["gpus"] == 4
             assert client.query("job-1")["status"] == "unknown"
 
-    def test_malformed_lines_answered_not_dropped(self, serve):
-        socket_path, _ = serve()
+    def test_malformed_lines_answered_not_dropped(self, quick_serve):
+        socket_path, _ = quick_serve()
         with AllocationClient(socket_path=socket_path) as client:
             client._sock.sendall(b"garbage\n")
             assert client.recv()["status"] == "error"
@@ -118,9 +135,9 @@ class TestBasicOps:
             # the connection survives both
             assert client.ping()["status"] == "ok"
 
-    def test_tcp_port(self, serve):
+    def test_tcp_port(self):
         handle = start_daemon_thread(
-            DaemonConfig(fleet="dgx1-v100:1"), port=0
+            DaemonConfig(fleet="dgx1-v100:1", drain_grace=QUICK_GRACE), port=0
         )
         try:
             assert handle.port is not None
@@ -130,15 +147,15 @@ class TestBasicOps:
         finally:
             handle.stop(timeout=30)
 
-    def test_unknown_job_release_is_an_error(self, serve):
-        socket_path, _ = serve()
+    def test_unknown_job_release_is_an_error(self, quick_serve):
+        socket_path, _ = quick_serve()
         with AllocationClient(socket_path=socket_path) as client:
             response = client.release("never-seen")
             assert response["status"] == "error"
             assert response["reason"] == "unknown-job"
 
-    def test_noroom_probe(self, serve):
-        socket_path, _ = serve(fleet="dgx1-v100:1")
+    def test_noroom_probe(self, quick_serve):
+        socket_path, _ = quick_serve(fleet="dgx1-v100:1")
         with AllocationClient(socket_path=socket_path) as client:
             assert client.submit("fill", 8)["status"] == "allocated"
             probe = client.submit("probe", 4, wait=False)
@@ -150,24 +167,24 @@ class TestBasicOps:
 
 
 class TestAdmission:
-    def test_duplicate_job_rejected(self, serve):
-        socket_path, _ = serve()
+    def test_duplicate_job_rejected(self, quick_serve):
+        socket_path, _ = quick_serve()
         with AllocationClient(socket_path=socket_path) as client:
             assert client.submit("dup", 2)["status"] == "allocated"
             response = client.submit("dup", 2)
             assert response["status"] == "rejected"
             assert response["reason"] == "duplicate-job"
 
-    def test_infeasible_request_rejected_not_queued(self, serve):
-        socket_path, _ = serve(fleet="dgx1-v100:2")  # 8-GPU servers
+    def test_infeasible_request_rejected_not_queued(self, quick_serve):
+        socket_path, _ = quick_serve(fleet="dgx1-v100:2")  # 8-GPU servers
         with AllocationClient(socket_path=socket_path) as client:
             response = client.submit("huge", 9)
             assert response["status"] == "rejected"
             assert response["reason"] == "infeasible"
             assert response["max_gpus"] == 8
 
-    def test_tenant_quota_gpus(self, serve):
-        socket_path, _ = serve(quota_gpus=8)
+    def test_tenant_quota_gpus(self, quick_serve):
+        socket_path, _ = quick_serve(quota_gpus=8)
         with AllocationClient(socket_path=socket_path) as client:
             assert client.submit("a", 6, tenant="t1")["status"] == "allocated"
             over = client.submit("b", 4, tenant="t1")
@@ -179,8 +196,8 @@ class TestAdmission:
             client.release("a")
             assert client.submit("b", 4, tenant="t1")["status"] == "allocated"
 
-    def test_tenant_quota_requests(self, serve):
-        socket_path, _ = serve(quota_requests=2)
+    def test_tenant_quota_requests(self, quick_serve):
+        socket_path, _ = quick_serve(quota_requests=2)
         with AllocationClient(socket_path=socket_path) as client:
             assert client.submit("a", 1)["status"] == "allocated"
             assert client.submit("b", 1)["status"] == "allocated"
@@ -188,8 +205,8 @@ class TestAdmission:
             assert over["status"] == "rejected"
             assert over["reason"] == "tenant-quota"
 
-    def test_queue_full_rejection(self, serve):
-        socket_path, _ = serve(fleet="dgx1-v100:1", queue_limit=2)
+    def test_queue_full_rejection(self, quick_serve):
+        socket_path, _ = quick_serve(fleet="dgx1-v100:1", queue_limit=2)
         with AllocationClient(socket_path=socket_path) as client:
             assert client.submit("fill", 8)["status"] == "allocated"
             # two waiters fit the queue, the third bounces immediately
@@ -208,8 +225,8 @@ class TestAdmission:
             got = {client.recv()["id"] for _ in range(3)}
             assert got == {ids[0], ids[1], client._next_id}
 
-    def test_cancel_waiting_submit(self, serve):
-        socket_path, _ = serve(fleet="dgx1-v100:1")
+    def test_cancel_waiting_submit(self, quick_serve):
+        socket_path, _ = quick_serve(fleet="dgx1-v100:1")
         with AllocationClient(socket_path=socket_path) as client:
             assert client.submit("fill", 8)["status"] == "allocated"
             wait_id = client.send(
@@ -229,8 +246,8 @@ class TestAdmission:
 
 
 class TestBatching:
-    def test_pipelined_submits_coalesce(self, serve):
-        socket_path, _ = serve(fleet="dgx1-v100:4", flush_window=0.05)
+    def test_pipelined_submits_coalesce(self, quick_serve):
+        socket_path, _ = quick_serve(fleet="dgx1-v100:4", flush_window=0.05)
         with AllocationClient(socket_path=socket_path) as client:
             ids = [
                 client.send({
@@ -402,48 +419,4 @@ class TestWarmRestart:
             stats = client.stats()
             assert stats["spill_audit"]["corrupt_partitions"] == 1
             assert stats["spill"]["corrupt_partitions"] == 1
-            client.drain()
-
-
-class TestShardedBackend:
-    def test_sharded_matches_single_backend(self, serve):
-        ops = [("s", f"j{i}", 2 + 2 * (i % 3)) for i in range(8)]
-        ops.insert(5, ("r", "j1", None))
-        ops.insert(8, ("r", "j3", None))
-
-        def run(**kwargs):
-            socket_path, handle = serve(
-                index=kwargs.pop("index"), fleet="dgx1-v100:4", **kwargs
-            )
-            placed = {}
-            with AllocationClient(socket_path=socket_path) as client:
-                for op in ops:
-                    if op[0] == "s":
-                        response = client.submit(op[1], op[2], wait=False)
-                        if response["status"] == "allocated":
-                            placed[op[1]] = (
-                                response["server"], response["gpus"],
-                            )
-                    else:
-                        client.release(op[1])
-                        placed.pop(op[1], None)
-                client.drain()
-            handle.join(timeout=30)
-            return placed
-
-        single = run(index=0)
-        sharded = run(index=1, shards=2, shard_mode="inline")
-        assert json.dumps(single, sort_keys=True) == json.dumps(
-            sharded, sort_keys=True
-        )
-
-    def test_sharded_stats_aggregate(self, serve):
-        socket_path, _ = serve(
-            index=0, fleet="dgx1-v100:4", shards=2, shard_mode="inline"
-        )
-        with AllocationClient(socket_path=socket_path) as client:
-            client.submit("a", 4)
-            stats = client.stats()
-            assert stats["cache"]["scan_lookups"] >= 1
-            client.release("a")
             client.drain()

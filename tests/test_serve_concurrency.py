@@ -18,8 +18,6 @@ conservation, and a clean drain.
 import json
 import threading
 
-import pytest
-
 from repro.cluster.simulator import MultiServerSimulator
 from repro.scenarios.fleet import FleetSpec
 from repro.scenarios.spec import ScenarioSpec
@@ -133,20 +131,18 @@ def _replay_parallel(ops, jobs_by_id, socket_path, num_clients=4):
     return ledger
 
 
-@pytest.mark.parametrize("shards,mode", [(0, None), (2, "inline")])
-def test_parallel_clients_match_serial_replay(tmp_path, shards, mode):
+def test_parallel_clients_match_serial_replay(tmp_path):
     """N parallel clients replaying the simulator's op sequence end
-    with a byte-identical allocation ledger — single and sharded."""
+    with a byte-identical allocation ledger."""
     fleet, trace = _scenario()
     ops, serial_ledger = _record_serial(fleet, trace)
     assert serial_ledger, "scenario placed nothing — test is vacuous"
     assert any(kind == "release" for kind, _ in ops)
 
     jobs_by_id = {job.job_id: job for job in trace.jobs}
-    config = DaemonConfig(fleet=FLEET, queue_limit=1024)
-    if shards:
-        config.shards = shards
-        config.shard_mode = mode
+    # The drain below force-releases the replay's leftover leases; the
+    # ledger identity does not depend on the grace, so skip waiting it out.
+    config = DaemonConfig(fleet=FLEET, queue_limit=1024, drain_grace=0.05)
     socket_path = str(tmp_path / "replay.sock")
     handle = start_daemon_thread(config, socket_path=socket_path)
     try:

@@ -222,22 +222,6 @@ class TestBackendProtocol:
 
 
 class TestDeprecationAndHygiene:
-    def test_cluster_simulator_alias_warns(self):
-        from repro.cluster import ClusterSimulator as OldName
-
-        with pytest.warns(DeprecationWarning, match="MultiServerSimulator"):
-            sim = OldName([dgx1_v100()])
-        assert isinstance(sim, MultiServerSimulator)
-
-    def test_isinstance_against_deprecated_name_still_works(self):
-        """run_cluster returns the new class, but old isinstance checks
-        against the deprecated name must keep passing."""
-        from repro.cluster import ClusterSimulator as OldName
-
-        trace = generate_job_file(5, seed=1, max_gpus=4)
-        sim = run_cluster([dgx1_v100()], trace)
-        assert isinstance(sim, OldName)
-
     def test_allocation_scores_frozen(self):
         alloc = Allocation(gpus=(1, 2), scores={"agg_bw": 50.0})
         with pytest.raises(TypeError):
